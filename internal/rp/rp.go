@@ -430,6 +430,18 @@ func (n *Node) Start(ctx context.Context) error {
 	n.ln = ln
 	n.ctx, n.cancel = context.WithCancel(ctx)
 
+	dir := n.cfg.Directory
+	if len(dir) == 0 {
+		dir = [][]string{{n.cfg.Membership}}
+	}
+	// The control-link table is published before the teardown watcher
+	// exists; its slots are filled under n.mu, where teardown reads them.
+	n.mu.Lock()
+	n.dir = dir
+	n.shards = len(dir)
+	n.ctrls = make([]*ctrlLink, n.shards)
+	n.mu.Unlock()
+
 	// An ungraceful disconnect (session context cancelled without a
 	// graceful Close — a crash, from the fabric's point of view) must
 	// still return the node's uplink bookings to the admission pool:
@@ -460,15 +472,6 @@ func (n *Node) Start(ctx context.Context) error {
 	n.wg.Add(1)
 	go n.acceptLoop()
 
-	dir := n.cfg.Directory
-	if len(dir) == 0 {
-		dir = [][]string{{n.cfg.Membership}}
-	}
-	n.mu.Lock()
-	n.dir = dir
-	n.mu.Unlock()
-	n.shards = len(dir)
-	n.ctrls = make([]*ctrlLink, n.shards)
 	routes := make([]*transport.Routes, n.shards)
 	for k := range dir {
 		conn, r, err := n.registerBoot(ctx, k, dir[k])
@@ -478,7 +481,17 @@ func (n *Node) Start(ctx context.Context) error {
 		}
 		// Control links must be usable before the ready gate opens:
 		// Resubscribe treats ready as "the control plane is writable".
+		// A link registered after teardown took its snapshot would never
+		// be closed, so a cancelled node drops it here instead.
+		n.mu.Lock()
+		if err := n.ctx.Err(); err != nil {
+			n.mu.Unlock()
+			conn.Close()
+			n.Close()
+			return err
+		}
 		n.ctrls[k] = &ctrlLink{shard: k, conn: conn}
+		n.mu.Unlock()
 		routes[k] = r
 	}
 	n.installShardRoutes(routes)
@@ -1635,7 +1648,12 @@ func (n *Node) teardown() {
 		if n.ln != nil {
 			n.ln.Close()
 		}
-		for _, l := range n.ctrls {
+		// Start fills control-link slots under n.mu; snapshot them there
+		// but close outside it, since a close waits on the link's writer.
+		n.mu.Lock()
+		ctrls := append([]*ctrlLink(nil), n.ctrls...)
+		n.mu.Unlock()
+		for _, l := range ctrls {
 			if l != nil {
 				l.close()
 			}

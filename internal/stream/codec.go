@@ -71,6 +71,10 @@ func Encode(f *Frame) ([]byte, error) {
 // Decode parses one frame from b and returns the frame plus the number of
 // bytes consumed. io.ErrShortBuffer is returned when b does not yet hold a
 // complete frame (callers accumulating from a socket should read more).
+//
+// The returned payload aliases b — it is a slice of b capped at the
+// frame's end, not a copy — so decoding costs no payload copy. A caller
+// that reuses or mutates b afterwards must Clone the frame first.
 func Decode(b []byte) (*Frame, int, error) {
 	if len(b) < frameHeaderSize {
 		return nil, 0, io.ErrShortBuffer
@@ -86,48 +90,11 @@ func Decode(b []byte) (*Frame, int, error) {
 	if len(b) < total {
 		return nil, 0, io.ErrShortBuffer
 	}
-	payload := make([]byte, plen)
-	copy(payload, b[frameHeaderSize:total])
 	f := &Frame{
 		Stream:    ID{Site: int(binary.BigEndian.Uint16(b[2:])), Index: int(binary.BigEndian.Uint16(b[4:]))},
 		Seq:       binary.BigEndian.Uint64(b[8:]),
 		CaptureMs: int64(binary.BigEndian.Uint64(b[16:])),
-		Payload:   payload,
+		Payload:   b[frameHeaderSize:total:total],
 	}
 	return f, total, nil
-}
-
-// WriteFrame encodes f to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	b, err := Encode(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadFrame decodes one frame from r.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:]) != frameMagic {
-		return nil, ErrBadMagic
-	}
-	plen := binary.BigEndian.Uint32(hdr[24:])
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("stream: payload length %d exceeds max %d", plen, MaxPayload)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return &Frame{
-		Stream:    ID{Site: int(binary.BigEndian.Uint16(hdr[2:])), Index: int(binary.BigEndian.Uint16(hdr[4:]))},
-		Seq:       binary.BigEndian.Uint64(hdr[8:]),
-		CaptureMs: int64(binary.BigEndian.Uint64(hdr[16:])),
-		Payload:   payload,
-	}, nil
 }

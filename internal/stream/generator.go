@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 )
@@ -11,14 +12,15 @@ import (
 //
 // The payload is pseudo-random but seeded per stream, so two generators
 // constructed with the same stream ID and seed produce identical frames —
-// useful for end-to-end integrity checks across the data plane.
+// useful for end-to-end integrity checks across the data plane. Each
+// frame gets a freshly allocated payload filled a 64-bit word at a time
+// straight from a xorshift sequence; there is no scratch buffer to copy
+// out of, and no frame shares memory with another.
 type Generator struct {
 	id      ID
 	profile Profile
 	rng     *rand.Rand
 	seq     uint64
-	// scratch is reused across frames; Next copies out of it.
-	scratch []byte
 }
 
 // NewGenerator returns a generator for the given stream.
@@ -30,7 +32,6 @@ func NewGenerator(id ID, profile Profile, seed int64) (*Generator, error) {
 		id:      id,
 		profile: profile,
 		rng:     rand.New(rand.NewSource(seed ^ int64(id.Site)<<32 ^ int64(id.Index))),
-		scratch: make([]byte, profile.FrameBytes()),
 	}, nil
 }
 
@@ -44,17 +45,23 @@ func (g *Generator) Profile() Profile { return g.profile }
 // number and the profile frame rate, so frame k is captured at
 // k * frameInterval.
 func (g *Generator) Next() *Frame {
-	// Fill with a cheap deterministic pattern: a seeded xorshift over the
-	// scratch buffer. Using rng.Read would also work but costs more.
+	// Fill with a cheap deterministic pattern: a xorshift sequence seeded
+	// per frame, one step per 8-byte word. Using rng.Read would also work
+	// but costs more.
+	payload := make([]byte, g.profile.FrameBytes())
 	x := g.rng.Uint64()
-	for i := range g.scratch {
+	var tail [8]byte
+	for i := 0; i < len(payload); i += 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		g.scratch[i] = byte(x)
+		if len(payload)-i >= 8 {
+			binary.LittleEndian.PutUint64(payload[i:], x)
+		} else {
+			binary.LittleEndian.PutUint64(tail[:], x)
+			copy(payload[i:], tail[:])
+		}
 	}
-	payload := make([]byte, len(g.scratch))
-	copy(payload, g.scratch)
 	f := &Frame{
 		Stream:    g.id,
 		Seq:       g.seq,

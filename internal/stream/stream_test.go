@@ -264,43 +264,26 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
-func TestWriteReadFrameStream(t *testing.T) {
-	var buf bytes.Buffer
-	g, err := NewGenerator(ID{Site: 2, Index: 3}, DefaultProfile(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sent []*Frame
-	for i := 0; i < 4; i++ {
-		f := g.Next()
-		sent = append(sent, f)
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range sent {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("frame %d mismatch", i)
-		}
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("read past end: err = %v, want EOF", err)
-	}
-}
-
-func TestReadFrameTruncated(t *testing.T) {
-	f := &Frame{Stream: ID{1, 2}, Payload: make([]byte, 100)}
+func TestDecodeAliasesInput(t *testing.T) {
+	f := &Frame{Stream: ID{2, 3}, Seq: 4, Payload: []byte("in place")}
 	b, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(b[:len(b)-10])
-	if _, err := ReadFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
+	b = append(b, "trailing"...)
+	got, n, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.Payload) != len(got.Payload) {
+		t.Errorf("payload cap %d, want %d: appends must not reach the bytes after the frame", cap(got.Payload), len(got.Payload))
+	}
+	b[frameHeaderSize] = 'I'
+	if string(got.Payload) != "In place" {
+		t.Errorf("payload = %q after editing b, want it to alias b", got.Payload)
+	}
+	if string(b[n:]) != "trailing" {
+		t.Errorf("bytes after the frame = %q", b[n:])
 	}
 }
 

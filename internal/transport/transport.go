@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/tele3d/tele3d/internal/stream"
 )
@@ -191,43 +192,72 @@ type Message struct {
 // ErrMessageTooLarge is returned when a length prefix exceeds MaxMessage.
 var ErrMessageTooLarge = errors.New("transport: message exceeds size bound")
 
-// WriteMessage encodes and writes one message.
+// maxPooledBuf caps the write buffers WriteMessage returns to its pool.
+// It holds a default-profile frame (~59 KiB) with room to spare; a rarer,
+// larger message (a big routing table) is left to the collector so the
+// pool never pins megabytes per P.
+const maxPooledBuf = 256 << 10
+
+// writeBufs holds WriteMessage's scratch buffers. Each message is
+// composed — header and body — into one pooled buffer, handed to a
+// single Write and returned: io.Writer implementations must not retain
+// the slice, and both fabrics copy on Write.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteMessage encodes m and writes it with exactly one Write call.
 func WriteMessage(w io.Writer, m *Message) error {
-	var payload []byte
+	bp := writeBufs.Get().(*[]byte)
+	buf, err := appendMessage((*bp)[:0], m)
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf[:0]
+		writeBufs.Put(bp)
+	}
+	return err
+}
+
+// appendMessage appends the wire form of m — length prefix, type byte,
+// payload — to dst.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(m.Type))
 	var err error
 	switch m.Type {
 	case MsgHello:
-		payload, err = json.Marshal(m.Hello)
+		dst, err = appendJSON(dst, m.Hello)
 	case MsgSubscribe:
-		payload, err = json.Marshal(m.Subscribe)
+		dst, err = appendJSON(dst, m.Subscribe)
 	case MsgPeerHello:
-		payload, err = json.Marshal(m.PeerHello)
+		dst, err = appendJSON(dst, m.PeerHello)
 	case MsgRoutes:
-		payload, err = json.Marshal(m.Routes)
+		dst, err = appendJSON(dst, m.Routes)
 	case MsgResubscribe:
-		payload, err = json.Marshal(m.Resubscribe)
+		dst, err = appendJSON(dst, m.Resubscribe)
 	case MsgRoutesUpdate:
-		payload, err = json.Marshal(m.Update)
+		dst, err = appendJSON(dst, m.Update)
 	case MsgError:
-		payload, err = json.Marshal(m.Error)
+		dst, err = appendJSON(dst, m.Error)
 	case MsgFrame:
-		payload, err = stream.Encode(m.Frame)
+		dst, err = stream.AppendEncode(dst, m.Frame)
 	default:
-		return fmt.Errorf("transport: unknown message type %d", m.Type)
+		return dst, fmt.Errorf("transport: unknown message type %d", m.Type)
 	}
 	if err != nil {
-		return fmt.Errorf("transport: encode type %d: %w", m.Type, err)
+		return dst, fmt.Errorf("transport: encode type %d: %w", m.Type, err)
 	}
-	if len(payload)+1 > MaxMessage {
-		return ErrMessageTooLarge
+	n := len(dst) - start - 4 // type byte + payload
+	if n > MaxMessage {
+		return dst, ErrMessageTooLarge
 	}
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = byte(m.Type)
-	if _, err := w.Write(append(hdr, payload...)); err != nil {
-		return err
-	}
-	return nil
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
+}
+
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
 }
 
 // ReadMessage reads and decodes one message.
@@ -272,6 +302,8 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		m.Error = &ProtocolError{}
 		return m, unmarshal(payload, m.Error)
 	case MsgFrame:
+		// body is freshly read for this message, so the frame may keep
+		// it: Decode's payload aliases it instead of copying.
 		f, _, err := stream.Decode(payload)
 		if err != nil {
 			return nil, fmt.Errorf("transport: decode frame: %w", err)
