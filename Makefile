@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test race live-race bench bench-smoke bench-compare sweep-smoke fuzz-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
+.PHONY: build fmt-check vet test race live-race perfbench-test bench bench-smoke bench-compare sweep-smoke fuzz-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 live-race:
 	$(GO) test -race -timeout 180s \
 		./internal/transport ./internal/membership ./internal/rp ./internal/session
+
+# perfbench-test runs the benchmark module's own tests. perfbench is a
+# separate Go module (so `go test ./...` above does not reach it) built
+# against the internal RP, routing-table and wire APIs; this target is
+# what catches an internal API change that breaks it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # bench runs the full suite at the default 1s benchtime (stable ns/op,
 # unlike a single-iteration smoke) and records the machine-readable
@@ -190,6 +197,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchChurn$$' -fuzztime 20s ./internal/overlay
 	$(GO) test -run '^$$' -fuzz '^FuzzSimEvents$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime 20s ./internal/rp
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutingMerge$$' -fuzztime 20s ./internal/rp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s ./internal/transport
 
 # cover prints per-package statement coverage for the internal tree; CI
@@ -197,4 +205,4 @@ fuzz-smoke:
 cover:
 	$(GO) test -cover ./internal/...
 
-ci: build fmt-check vet race live-race lint-docs bench-smoke sweep-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke
+ci: build fmt-check vet race live-race perfbench-test lint-docs bench-smoke sweep-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke

@@ -683,11 +683,10 @@ func (s *Server) applyPendingLocked() {
 func (s *Server) reackLocked(site int, id uint64) {
 	if st := s.sites[site]; st != nil {
 		_ = st.write(&transport.Message{Type: transport.MsgRoutesUpdate, Update: &transport.RoutesUpdate{
-			Site:    site,
-			Epoch:   s.epoch,
-			Shard:   s.cfg.Shard,
-			Acks:    []transport.Ack{{ID: id}},
-			ReplyTo: id,
+			Site:  site,
+			Epoch: s.epoch,
+			Shard: s.cfg.Shard,
+			Acks:  []transport.Ack{{ID: id}},
 		}})
 	}
 }
@@ -801,9 +800,6 @@ func (s *Server) flushLocked(fullFor int, withMesh bool) {
 		u.Shard = s.cfg.Shard
 		u.Acks = acks
 		u.Peers = peerPatch
-		if len(acks) == 1 {
-			u.ReplyTo = acks[0].ID
-		}
 		delete(s.pendingAcks, i)
 		s.cur[i] = next[i]
 		if st := s.sites[i]; st != nil {

@@ -9,7 +9,7 @@
 // table snapshot while frames keep flowing. Epochs are per shard — the
 // node's snapshot is the disjoint union of every shard's directive, each
 // slice versioned independently. Every frame is routed under exactly one
-// snapshot (the one loaded when it arrives): a frame in flight for a
+// snapshot (the one in effect when it is received): a frame in flight for a
 // stream the site no longer accepts is discarded and counted as stale, a
 // frame already delivered under an earlier path is discarded as a
 // duplicate (per-stream sequence watermark), and the first delivered
@@ -42,7 +42,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -205,43 +207,25 @@ type ResubscribeResult struct {
 
 // routingTable is an immutable snapshot of the node's routing state; the
 // node swaps the whole snapshot atomically on every update, so a frame is
-// always routed under exactly one epoch. The snapshot is the union of
-// every membership shard's directive; epochs holds the per-shard table
-// versions and epoch their maximum.
+// always routed under exactly one epoch. shards[k] is membership shard
+// k's current directive, versioned by its own epoch (nil until the
+// shard's boot table is folded in); epoch is their maximum. The forward
+// and accepted lookups index the disjoint union of the shards. The peer
+// mesh is registration-time state shared by every shard, held once.
 type routingTable struct {
 	epoch    uint64
-	epochs   []uint64
-	routes   *transport.Routes
+	shards   []*transport.Routes
+	peers    map[int]string
+	delayMs  map[int]float64
 	forward  map[stream.ID][]int
 	accepted map[stream.ID]bool
-}
-
-func newRoutingTable(r *transport.Routes) *routingTable {
-	epochs := make([]uint64, r.Shard+1)
-	epochs[r.Shard] = r.Epoch
-	t := &routingTable{
-		epoch:    r.Epoch,
-		epochs:   epochs,
-		routes:   r,
-		forward:  make(map[stream.ID][]int, len(r.Forward)),
-		accepted: make(map[stream.ID]bool, len(r.Accepted)),
-	}
-	for _, route := range r.Forward {
-		if len(route.Children) > 0 {
-			t.forward[route.Stream] = route.Children
-		}
-	}
-	for _, id := range r.Accepted {
-		t.accepted[id] = true
-	}
-	return t
 }
 
 // shardEpoch returns the table version held for one shard (0 if the
 // shard never delivered a table).
 func (t *routingTable) shardEpoch(k int) uint64 {
-	if k >= 0 && k < len(t.epochs) {
-		return t.epochs[k]
+	if k >= 0 && k < len(t.shards) && t.shards[k] != nil {
+		return t.shards[k].Epoch
 	}
 	return 0
 }
@@ -630,10 +614,17 @@ func (n *Node) table() *routingTable { return n.tbl.Load() }
 // the union of every shard's directive. The returned value is a
 // snapshot: later updates never mutate it.
 func (n *Node) Routes() *transport.Routes {
-	if t := n.table(); t != nil {
-		return t.routes
+	t := n.table()
+	if t == nil {
+		return nil
 	}
-	return nil
+	r := &transport.Routes{Site: n.cfg.Site, Epoch: t.epoch, Peers: t.peers, DelayMs: t.delayMs}
+	for _, s := range t.shards {
+		r.Forward = append(r.Forward, s.Forward...)
+		r.Accepted = append(r.Accepted, s.Accepted...)
+		r.Rejected = append(r.Rejected, s.Rejected...)
+	}
+	return r
 }
 
 // Epoch returns the highest shard table version currently in effect
@@ -645,48 +636,141 @@ func (n *Node) Epoch() uint64 {
 	return 0
 }
 
-func (n *Node) installRoutes(r *transport.Routes) {
-	if r.Epoch == 0 {
-		r.Epoch = 1
+// installShardRoutes folds the initial per-shard tables into an empty
+// snapshot, stores it once and opens the ready gate, so no partly
+// installed table is ever visible. The peer mesh is registration-time
+// state identical across shards; the first shard carrying one supplies
+// it.
+func (n *Node) installShardRoutes(routes []*transport.Routes) {
+	n.mu.Lock()
+	t := &routingTable{shards: make([]*transport.Routes, len(routes))}
+	for k, r := range routes {
+		if t.peers == nil {
+			t.peers, t.delayMs = r.Peers, r.DelayMs
+		}
+		t = n.install(t, k, r)
 	}
-	n.tbl.Store(newRoutingTable(r))
+	n.tbl.Store(t)
+	n.mu.Unlock()
 	n.readyOnce.Do(func() { close(n.ready) })
 }
 
-// installShardRoutes merges the initial per-shard tables into one
-// snapshot and opens the ready gate. The shard directives are disjoint
-// by stream ownership, so the merge is a plain union; the replicated
-// session directory carried in any table replaces the configured one.
-func (n *Node) installShardRoutes(routes []*transport.Routes) {
-	epochs := make([]uint64, len(routes))
-	merged := &transport.Routes{Site: n.cfg.Site}
-	for k, r := range routes {
-		if r.Epoch == 0 {
-			r.Epoch = 1
+// install merges directive d for shard k into snapshot cur and returns
+// the next snapshot, or nil when d's epoch is not newer than the one
+// held for the shard (a reordered or replayed message must not roll the
+// table back; it is counted as stale). It is the only place routing
+// state merges: boot folds each shard's table through it, a delta
+// installs the shard's patched directive and a sync the full one. A
+// shard's first directive is its boot table; later ones open
+// first-frame measurements for the streams they gain and drop those of
+// the streams they lose. A directory covering every shard replaces the
+// node's. The caller holds n.mu and stores the result.
+func (n *Node) install(cur *routingTable, k int, d *transport.Routes) *routingTable {
+	s := *d
+	s.Peers, s.DelayMs, s.Directory = nil, nil, nil // held once, not per shard
+	if s.Epoch == 0 {
+		s.Epoch = 1
+	}
+	if s.Epoch <= cur.shardEpoch(k) {
+		n.staleUpdates++
+		return nil
+	}
+	if len(d.Directory) == len(cur.shards) {
+		n.dir = d.Directory
+	}
+	next := &routingTable{
+		shards:   append([]*transport.Routes(nil), cur.shards...),
+		peers:    cur.peers,
+		delayMs:  cur.delayMs,
+		forward:  make(map[stream.ID][]int, len(cur.forward)),
+		accepted: make(map[stream.ID]bool, len(cur.accepted)),
+	}
+	next.shards[k] = &s
+	for _, r := range next.shards {
+		if r == nil {
+			continue
 		}
-		epochs[k] = r.Epoch
-		if r.Epoch > merged.Epoch {
-			merged.Epoch = r.Epoch
+		next.epoch = max(next.epoch, r.Epoch)
+		for _, route := range r.Forward {
+			if len(route.Children) > 0 {
+				next.forward[route.Stream] = route.Children
+			}
 		}
-		if merged.Peers == nil {
-			// The peer mesh is registration-time state identical across
-			// shards; share the first shard's maps.
-			merged.Peers = r.Peers
-			merged.DelayMs = r.DelayMs
-		}
-		merged.Forward = append(merged.Forward, r.Forward...)
-		merged.Accepted = append(merged.Accepted, r.Accepted...)
-		merged.Rejected = append(merged.Rejected, r.Rejected...)
-		if len(r.Directory) == len(routes) {
-			n.mu.Lock()
-			n.dir = r.Directory
-			n.mu.Unlock()
+		for _, id := range r.Accepted {
+			next.accepted[id] = true
 		}
 	}
-	t := newRoutingTable(merged)
-	t.epochs = epochs
-	n.tbl.Store(t)
-	n.readyOnce.Do(func() { close(n.ready) })
+	if prev := cur.shards[k]; prev != nil {
+		now := time.Now()
+		for _, id := range s.Accepted {
+			if !cur.accepted[id] {
+				n.pendingGain[id] = gainMark{epoch: s.Epoch, at: now}
+			}
+		}
+		for _, id := range prev.Accepted {
+			if !next.accepted[id] {
+				delete(n.pendingGain, id)
+			}
+		}
+	}
+	return next
+}
+
+// patch returns shard directive r with delta u applied: u's forwarding
+// entries replace r's (an entry without children clears the duty) and
+// its add/delete sets edit the accepted and rejected sets.
+func patch(r *transport.Routes, u *transport.RoutesUpdate) *transport.Routes {
+	return &transport.Routes{
+		Site: r.Site, Epoch: u.Epoch, Shard: r.Shard, Shards: r.Shards,
+		Forward:  setForward(r.Forward, u.SetForward),
+		Accepted: edit(r.Accepted, u.AddAccepted, u.DelAccepted),
+		Rejected: edit(r.Rejected, u.AddRejected, u.DelRejected),
+	}
+}
+
+// setForward returns routes with every stream named in set replaced by
+// set's last entry for it, dropped when that entry has no children.
+func setForward(routes, set []transport.Route) []transport.Route {
+	if len(set) == 0 {
+		return routes
+	}
+	last := make(map[stream.ID]int, len(set))
+	for i, r := range set {
+		last[r.Stream] = i
+	}
+	out := make([]transport.Route, 0, len(routes)+len(set))
+	for _, r := range routes {
+		if _, ok := last[r.Stream]; !ok {
+			out = append(out, r)
+		}
+	}
+	for i, r := range set {
+		if last[r.Stream] == i && len(r.Children) > 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// edit returns the set ids ∪ add − del, in first-seen order.
+func edit(ids, add, del []stream.ID) []stream.ID {
+	if len(add) == 0 && len(del) == 0 {
+		return ids
+	}
+	seen := make(map[stream.ID]bool, len(ids)+len(add)+len(del))
+	for _, id := range del {
+		seen[id] = true
+	}
+	out := make([]stream.ID, 0, len(ids)+len(add))
+	for _, list := range [][]stream.ID{ids, add} {
+		for _, id := range list {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }
 
 // controlLoop serves one shard's control connection until the node
@@ -726,12 +810,11 @@ func (n *Node) readLoop(shard int, conn net.Conn) error {
 		}
 		switch m.Type {
 		case transport.MsgRoutesUpdate:
-			n.applyUpdate(m.Update)
-			n.resolveAcks(m.Update)
+			n.applyUpdate(shard, m.Update)
 		case transport.MsgRoutes:
 			// A mid-session full table is a shard sync (the server
 			// resynchronized this site after a re-registration).
-			n.applySync(m.Routes)
+			n.applySync(shard, m.Routes)
 		case transport.MsgError:
 			n.recordErr(fmt.Errorf("rp: site %d control: %s", n.cfg.Site, m.Error.Msg))
 		}
@@ -781,7 +864,7 @@ func (n *Node) failover(l *ctrlLink) bool {
 		conn, routes, err := n.register(n.ctx, l.shard, addr, true, oneShot)
 		if err == nil {
 			l.set(conn)
-			n.applySync(routes)
+			n.applySync(l.shard, routes)
 			n.recordFailover(FailoverEvent{Shard: l.shard, Detected: detected, Restored: time.Now()})
 			return true
 		}
@@ -800,18 +883,24 @@ func (n *Node) recordFailover(ev FailoverEvent) {
 	n.mu.Unlock()
 }
 
+// onLink reports whether a control message's shard matches the control
+// link it arrived on. A mismatch is a protocol error: the message is
+// dropped and the error recorded, so a bad shard index from the wire can
+// never address another shard's slice.
+func (n *Node) onLink(link, shard int) bool {
+	if shard == link {
+		return true
+	}
+	n.recordErr(fmt.Errorf("rp: site %d control: shard %d message on shard %d's link", n.cfg.Site, shard, link))
+	return false
+}
+
 // resolveAcks settles resubscribe waiters from an update's folded-in
 // acknowledgements. Resolution is independent of the epoch gate: even
 // an update whose table content is stale still answers its requesters
 // (a re-acknowledged duplicate carries the current epoch unchanged).
 func (n *Node) resolveAcks(u *transport.RoutesUpdate) {
-	acks := u.Acks
-	if len(acks) == 0 && u.ReplyTo != 0 {
-		// Legacy single-ack update: the delta's own Add sets are the
-		// requester's admission outcome.
-		acks = []transport.Ack{{ID: u.ReplyTo, Accepted: u.AddAccepted, Rejected: u.AddRejected}}
-	}
-	for _, a := range acks {
+	for _, a := range u.Acks {
 		n.mu.Lock()
 		req, ok := n.inflight[a.ID]
 		if ok {
@@ -832,252 +921,87 @@ func (n *Node) resolveAcks(u *transport.RoutesUpdate) {
 	}
 }
 
-// applyUpdate merges an epoch-versioned delta into a fresh routing
-// snapshot and swaps it in. Updates whose epoch is not newer than the
-// running table's slice for the sending shard are dropped
-// deterministically (a reordered or replayed delta must not roll the
-// table back).
-func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur := n.table()
-	if cur == nil || u.Epoch <= cur.shardEpoch(u.Shard) {
-		n.staleUpdates++
+// applyUpdate installs an epoch-versioned delta from shard k's control
+// link — shard k's directive patched by u — then answers the requesters
+// whose acknowledgements the delta carries. The peer mesh is shared
+// registration-time state, so a delta normally carries none; one that
+// does is merged into fresh maps.
+func (n *Node) applyUpdate(k int, u *transport.RoutesUpdate) {
+	if !n.onLink(k, u.Shard) {
 		return
 	}
-
-	// The peer mesh is registration-time state the server shares across
-	// rebuilds, so updates normally carry no Peers/DelayMs: share the
-	// current maps and copy only when a delta actually touches them —
-	// at cluster scale this is two O(N) map copies saved per update.
-	r := &transport.Routes{
-		Site:    cur.routes.Site,
-		Epoch:   u.Epoch,
-		Peers:   cur.routes.Peers,
-		DelayMs: cur.routes.DelayMs,
-	}
-	if len(u.Peers) > 0 {
-		r.Peers = make(map[int]string, len(cur.routes.Peers))
-		for k, v := range cur.routes.Peers {
-			r.Peers[k] = v
-		}
-		for k, v := range u.Peers {
+	n.mu.Lock()
+	cur := n.table()
+	if next := n.install(cur, k, patch(cur.shards[k], u)); next != nil {
+		for site, addr := range u.Peers {
 			// A changed address means the peer restarted (crash/rejoin):
 			// drop any stale link and revive a dead-marked peer so the
 			// next frame redials the new address.
-			if old, ok := r.Peers[k]; ok && old != v {
-				if link := n.peers[k]; link != nil {
+			if old, ok := cur.peers[site]; ok && old != addr {
+				if link := n.peers[site]; link != nil {
 					link.conn.Close()
 				}
-				if st := n.peerConn[k]; st != nil {
+				if st := n.peerConn[site]; st != nil {
 					st.dead = false
 				}
 			}
-			r.Peers[k] = v
 		}
+		next.peers = mergeMesh(cur.peers, u.Peers)
+		next.delayMs = mergeMesh(cur.delayMs, u.DelayMs)
+		n.tbl.Store(next)
 	}
-	if len(u.DelayMs) > 0 {
-		r.DelayMs = make(map[int]float64, len(cur.routes.DelayMs))
-		for k, v := range cur.routes.DelayMs {
-			r.DelayMs[k] = v
-		}
-		for k, v := range u.DelayMs {
-			r.DelayMs[k] = v
-		}
-	}
-
-	// Merge into fresh lookup maps, then build the snapshot directly from
-	// them — the Routes slices are derived once for the stored copy.
-	forward := make(map[stream.ID][]int, len(cur.forward))
-	for id, ch := range cur.forward {
-		forward[id] = ch
-	}
-	for _, route := range u.SetForward {
-		if len(route.Children) == 0 {
-			delete(forward, route.Stream)
-		} else {
-			forward[route.Stream] = route.Children
-		}
-	}
-	for id, ch := range forward {
-		r.Forward = append(r.Forward, transport.Route{Stream: id, Children: ch})
-	}
-
-	accepted := make(map[stream.ID]bool, len(cur.accepted))
-	for id := range cur.accepted {
-		accepted[id] = true
-	}
-	for _, id := range u.AddAccepted {
-		accepted[id] = true
-	}
-	for _, id := range u.DelAccepted {
-		delete(accepted, id)
-	}
-	for id := range accepted {
-		r.Accepted = append(r.Accepted, id)
-	}
-
-	rejected := make(map[stream.ID]bool, len(cur.routes.Rejected))
-	for _, id := range cur.routes.Rejected {
-		rejected[id] = true
-	}
-	for _, id := range u.AddRejected {
-		rejected[id] = true
-	}
-	for _, id := range u.DelRejected {
-		delete(rejected, id)
-	}
-	for id := range rejected {
-		r.Rejected = append(r.Rejected, id)
-	}
-
-	epochs := make([]uint64, len(cur.epochs))
-	copy(epochs, cur.epochs)
-	for len(epochs) <= u.Shard {
-		epochs = append(epochs, 0)
-	}
-	epochs[u.Shard] = u.Epoch
-	maxEpoch := cur.epoch
-	if u.Epoch > maxEpoch {
-		maxEpoch = u.Epoch
-	}
-	n.tbl.Store(&routingTable{epoch: maxEpoch, epochs: epochs, routes: r, forward: forward, accepted: accepted})
-
-	// Track newly gained streams until their first delivered frame; a
-	// stream withdrawn before that settles as never-delivered.
-	now := time.Now()
-	for _, id := range u.AddAccepted {
-		if !cur.accepted[id] {
-			n.pendingGain[id] = gainMark{epoch: u.Epoch, at: now}
-		}
-	}
-	for _, id := range u.DelAccepted {
-		delete(n.pendingGain, id)
-	}
+	n.mu.Unlock()
+	n.resolveAcks(u)
 }
 
-// applySync replaces one shard's whole slice of the routing snapshot
-// with a freshly delivered full table — the resynchronization a
-// successor (or the same server, after this site re-registered) sends.
-// Resubscriptions left in flight toward the shard are settled from the
-// synced admission state: the crash may have eaten their individual
-// acknowledgements, but the re-registration carried their effect.
-func (n *Node) applySync(r *transport.Routes) {
-	if r.Epoch == 0 {
-		r.Epoch = 1
+// mergeMesh returns m with patch written over it, sharing m when patch
+// is empty.
+func mergeMesh[V any](m, patch map[int]V) map[int]V {
+	if len(patch) == 0 {
+		return m
+	}
+	out := make(map[int]V, len(m)+len(patch))
+	maps.Copy(out, m)
+	maps.Copy(out, patch)
+	return out
+}
+
+// applySync installs a full table from shard k's control link as the
+// shard's directive — the resynchronization a successor (or the same
+// server, after this site re-registered) sends. Resubscriptions left in
+// flight toward the shard are settled from the synced admission state:
+// the crash may have eaten their individual acknowledgements, but the
+// re-registration carried their effect.
+func (n *Node) applySync(k int, r *transport.Routes) {
+	if !n.onLink(k, r.Shard) {
+		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cur := n.table()
-	if cur == nil {
+	next := n.install(n.table(), k, r)
+	if next == nil {
 		return
 	}
-	k := r.Shard
-	if r.Epoch <= cur.shardEpoch(k) {
-		n.staleUpdates++
-		return
-	}
-	shards := n.shards
-	if shards <= k {
-		shards = k + 1
-	}
-	if len(r.Directory) > 0 {
-		n.dir = r.Directory
-	}
+	n.tbl.Store(next)
 
-	owned := func(id stream.ID) bool { return transport.TenantStreamShard(n.cfg.Tenant, id, shards) == k }
-
-	merged := &transport.Routes{
-		Site:    cur.routes.Site,
-		Epoch:   cur.epoch,
-		Peers:   cur.routes.Peers,
-		DelayMs: cur.routes.DelayMs,
-	}
-	forward := make(map[stream.ID][]int, len(cur.forward))
-	for id, ch := range cur.forward {
-		if !owned(id) {
-			forward[id] = ch
-		}
-	}
-	for _, route := range r.Forward {
-		if len(route.Children) > 0 {
-			forward[route.Stream] = route.Children
-		}
-	}
-	for id, ch := range forward {
-		merged.Forward = append(merged.Forward, transport.Route{Stream: id, Children: ch})
-	}
-
-	accepted := make(map[stream.ID]bool, len(cur.accepted))
-	for id := range cur.accepted {
-		if !owned(id) {
-			accepted[id] = true
-		}
-	}
-	accSet := make(map[stream.ID]bool, len(r.Accepted))
-	for _, id := range r.Accepted {
-		accSet[id] = true
-		accepted[id] = true
-	}
-	for id := range accepted {
-		merged.Accepted = append(merged.Accepted, id)
-	}
-
-	rejSet := make(map[stream.ID]bool, len(r.Rejected))
-	for _, id := range r.Rejected {
-		rejSet[id] = true
-	}
-	for _, id := range cur.routes.Rejected {
-		if !owned(id) {
-			merged.Rejected = append(merged.Rejected, id)
-		}
-	}
-	merged.Rejected = append(merged.Rejected, r.Rejected...)
-
-	epochs := make([]uint64, len(cur.epochs))
-	copy(epochs, cur.epochs)
-	for len(epochs) <= k {
-		epochs = append(epochs, 0)
-	}
-	epochs[k] = r.Epoch
-	if r.Epoch > merged.Epoch {
-		merged.Epoch = r.Epoch
-	}
-	n.tbl.Store(&routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, forward: forward, accepted: accepted})
-
-	// Gains and losses relative to the pre-sync slice drive the same
-	// disruption tracking a delta would: a stream the successor granted
-	// that the old table lacked starts a first-frame measurement.
-	now := time.Now()
-	for id := range accSet {
-		if !cur.accepted[id] {
-			n.pendingGain[id] = gainMark{epoch: r.Epoch, at: now}
-		}
-	}
-	for id := range cur.accepted {
-		if owned(id) && !accSet[id] {
-			delete(n.pendingGain, id)
-		}
-	}
-
-	// Settle in-flight resubscriptions toward this shard from the synced
-	// admission state. A gain in neither set was lost in the failover
-	// window (sent after the successor's registration snapshot): it is
-	// reported as neither accepted nor rejected — a bounded loss.
+	// A gain in neither set was lost in the failover window (sent after
+	// the successor's registration snapshot): it is reported as neither
+	// accepted nor rejected — a bounded loss.
+	s := next.shards[k]
 	for id, req := range n.inflight {
 		if req.shard != k {
 			continue
 		}
-		res := &ResubscribeResult{Epoch: r.Epoch}
+		res := &ResubscribeResult{Epoch: s.Epoch}
 		for _, g := range req.gained {
 			switch {
-			case accSet[g]:
+			case next.accepted[g]:
 				if res.Epochs == nil {
 					res.Epochs = make(map[stream.ID]uint64)
 				}
 				res.Accepted = append(res.Accepted, g)
-				res.Epochs[g] = r.Epoch
-			case rejSet[g]:
+				res.Epochs[g] = s.Epoch
+			case slices.Contains(s.Rejected, g):
 				res.Rejected = append(res.Rejected, g)
 			}
 		}
@@ -1316,7 +1240,7 @@ func (n *Node) peer(site int, tbl *routingTable) *peerLink {
 // dialPeer performs one dial + handshake toward a peer and installs the
 // resulting link (discarding it if a racing dispatcher won).
 func (n *Node) dialPeer(site int, tbl *routingTable) (*peerLink, error) {
-	addr, ok := tbl.routes.Peers[site]
+	addr, ok := tbl.peers[site]
 	if !ok {
 		return nil, fmt.Errorf("rp: site %d has no address for peer %d", n.cfg.Site, site)
 	}
@@ -1333,7 +1257,7 @@ func (n *Node) dialPeer(site int, tbl *routingTable) (*peerLink, error) {
 		return nil, err
 	}
 	// On a WAN-emulating fabric the link itself carries the edge delay.
-	delay := time.Duration(tbl.routes.DelayMs[site] * float64(time.Millisecond))
+	delay := time.Duration(tbl.delayMs[site] * float64(time.Millisecond))
 	if n.cfg.Network.EmulatesWAN() {
 		delay = 0
 	}
@@ -1516,23 +1440,24 @@ func (n *Node) handlePeer(conn net.Conn) {
 		if m.Type != transport.MsgFrame {
 			continue
 		}
-		// The snapshot loaded here is the frame's routing epoch: accept,
-		// dedup, and forwarding decisions all read this one table.
-		n.receive(m.Frame, n.table())
+		n.receive(m.Frame)
 	}
 }
 
-// receive delivers a frame locally and forwards it downstream. Stats,
-// dedup, and the delivery-queue drop decision happen in one locked
-// section so per-stream counters stay consistent under concurrency.
-func (n *Node) receive(f *stream.Frame, tbl *routingTable) {
+// receive delivers a frame locally and forwards it downstream. The
+// routing snapshot, the receive stamp, stats, dedup and the
+// delivery-queue drop decision are all taken in one section under n.mu,
+// where every table swap happens: a frame is admitted and stamped inside
+// one epoch, and forwarded under that same snapshot.
+func (n *Node) receive(f *stream.Frame) {
+	n.mu.Lock()
+	tbl := n.table()
 	if tbl == nil {
+		n.mu.Unlock()
 		return
 	}
 	now := time.Now()
 	lat := float64(now.UnixMilli() - f.CaptureMs)
-
-	n.mu.Lock()
 	st, ok := n.stats[f.Stream]
 	if !ok {
 		st = &StreamStats{}

@@ -534,13 +534,12 @@ func TestDeliveryQueueOverflowCountsDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := stream.ID{Site: 0, Index: 0}
-	node.installRoutes(&transport.Routes{Site: 1, Epoch: 1, Accepted: []stream.ID{src}})
-	tbl := node.table()
+	node.installShardRoutes([]*transport.Routes{{Site: 1, Epoch: 1, Accepted: []stream.ID{src}}})
 	const total = 10
 	for i := 0; i < total; i++ {
 		node.receive(&stream.Frame{
 			Stream: src, Seq: uint64(i), CaptureMs: time.Now().UnixMilli(), Payload: []byte{1},
-		}, tbl)
+		})
 	}
 	st := node.Stats()[src]
 	if st.Frames != total {
@@ -577,15 +576,15 @@ func TestStaleRoutesUpdateDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := stream.ID{Site: 0, Index: 0}
-	node.installRoutes(&transport.Routes{Site: 1, Epoch: 2})
-	node.applyUpdate(&transport.RoutesUpdate{Site: 1, Epoch: 2, AddAccepted: []stream.ID{src}})
+	node.installShardRoutes([]*transport.Routes{{Site: 1, Epoch: 2}})
+	node.applyUpdate(0, &transport.RoutesUpdate{Site: 1, Epoch: 2, AddAccepted: []stream.ID{src}})
 	if got := node.StaleUpdates(); got != 1 {
 		t.Errorf("StaleUpdates = %d, want 1", got)
 	}
 	if node.Epoch() != 2 || node.table().accepted[src] {
 		t.Errorf("stale update applied: epoch %d, accepted %v", node.Epoch(), node.table().accepted)
 	}
-	node.applyUpdate(&transport.RoutesUpdate{Site: 1, Epoch: 3, AddAccepted: []stream.ID{src}})
+	node.applyUpdate(0, &transport.RoutesUpdate{Site: 1, Epoch: 3, AddAccepted: []stream.ID{src}})
 	if node.Epoch() != 3 || !node.table().accepted[src] {
 		t.Errorf("newer update not applied: epoch %d", node.Epoch())
 	}

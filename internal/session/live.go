@@ -285,20 +285,25 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	// owns — applies diffs to, pushes deltas for — only its slice of the
 	// stream space, so the union of shard directives equals the
 	// single-server table. Each server gets its own context so a
-	// scheduled failover can kill exactly one.
+	// scheduled failover can kill exactly one. Primaries, the failover
+	// standby and the chaos standby chains differ only in fabric host and
+	// shard.
+	newServer := func(host string, shard int) (*membership.Server, error) {
+		return membership.New(membership.Config{
+			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
+			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
+			Network:         cfg.Fabric.Host(host),
+			Shards:          shards,
+			Shard:           shard,
+			FlushIntervalMs: cfg.FlushIntervalMs,
+			Tenant:          cfg.Tenant,
+		})
+	}
 	srvs := make([]*membership.Server, shards)
 	srvCancels := make([]context.CancelFunc, shards)
 	directory := make([][]string, shards)
 	for k := 0; k < shards; k++ {
-		srv, err := membership.New(membership.Config{
-			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
-			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         cfg.Fabric.Host(transport.TenantShardServerHost(cfg.Tenant, k)),
-			Shards:          shards,
-			Shard:           k,
-			FlushIntervalMs: cfg.FlushIntervalMs,
-			Tenant:          cfg.Tenant,
-		})
+		srv, err := newServer(transport.TenantShardServerHost(cfg.Tenant, k), k)
 		if err != nil {
 			return nil, err
 		}
@@ -308,15 +313,7 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	var standby *membership.Server
 	if cfg.Failover != nil {
 		var err error
-		standby, err = membership.New(membership.Config{
-			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
-			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         cfg.Fabric.Host(transport.TenantStandbyServerHost(cfg.Tenant, cfg.Failover.Shard)),
-			Shards:          shards,
-			Shard:           cfg.Failover.Shard,
-			FlushIntervalMs: cfg.FlushIntervalMs,
-			Tenant:          cfg.Tenant,
-		})
+		standby, err = newServer(transport.TenantStandbyServerHost(cfg.Tenant, cfg.Failover.Shard), cfg.Failover.Shard)
 		if err != nil {
 			return nil, err
 		}
@@ -331,15 +328,7 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 		chains = make([][]takeover, shards)
 		for k, cnt := range cfg.Chaos.RestartsPerShard(shards) {
 			for j := 0; j < cnt; j++ {
-				srv, err := membership.New(membership.Config{
-					N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
-					Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-					Network:         cfg.Fabric.Host(transport.TenantChaosStandbyHost(cfg.Tenant, k, j)),
-					Shards:          shards,
-					Shard:           k,
-					FlushIntervalMs: cfg.FlushIntervalMs,
-					Tenant:          cfg.Tenant,
-				})
+				srv, err := newServer(transport.TenantChaosStandbyHost(cfg.Tenant, k, j), k)
 				if err != nil {
 					return nil, err
 				}

@@ -32,7 +32,7 @@ func FuzzReadMessage(f *testing.F) {
 		{Type: MsgPeerHello, PeerHello: &PeerHello{Site: 7}},
 		{Type: MsgResubscribe, Resubscribe: &Resubscribe{Site: 1, ID: 4, Gained: []stream.ID{id}, Lost: []stream.ID{{Site: 5}}}},
 		{Type: MsgRoutesUpdate, Update: &RoutesUpdate{
-			Site: 1, Epoch: 4, Acks: []Ack{{ID: 4, Accepted: []stream.ID{id}}}, ReplyTo: 4,
+			Site: 1, Epoch: 4, Acks: []Ack{{ID: 4, Accepted: []stream.ID{id}}},
 			SetForward: []Route{{Stream: id}}, AddAccepted: []stream.ID{id}, DelRejected: []stream.ID{id},
 		}},
 		{Type: MsgError, Error: &ProtocolError{Msg: "duplicate registration for site 3"}},

@@ -113,15 +113,13 @@ type Ack struct {
 // is the shard's table version after the change: an RP applies an
 // update only if its epoch is newer than the table it currently runs
 // for that shard, so reordered or replayed updates are handled
-// deterministically (dropped). ReplyTo is non-zero only on the update
-// sent to the RP whose Resubscribe triggered the change, echoing that
-// request's ID; batched updates list every folded-in request in Acks.
+// deterministically (dropped). Acks lists every resubscribe request the
+// update acknowledges to this RP, one entry per folded-in request.
 type RoutesUpdate struct {
-	Site    int    `json:"site"`
-	Epoch   uint64 `json:"epoch"`
-	Shard   int    `json:"shard,omitempty"`
-	Acks    []Ack  `json:"acks,omitempty"`
-	ReplyTo uint64 `json:"replyTo,omitempty"`
+	Site  int    `json:"site"`
+	Epoch uint64 `json:"epoch"`
+	Shard int    `json:"shard,omitempty"`
+	Acks  []Ack  `json:"acks,omitempty"`
 	// SetForward replaces the forwarding duty for each listed stream; an
 	// entry with no children clears the duty for that stream.
 	SetForward []Route `json:"setForward,omitempty"`

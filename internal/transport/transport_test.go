@@ -87,9 +87,9 @@ func TestResubscribeRoundTrip(t *testing.T) {
 
 func TestRoutesUpdateRoundTrip(t *testing.T) {
 	u := &RoutesUpdate{
-		Site:    0,
-		Epoch:   7,
-		ReplyTo: 41,
+		Site:  0,
+		Epoch: 7,
+		Acks:  []Ack{{ID: 41}},
 		SetForward: []Route{
 			{Stream: stream.ID{Site: 0, Index: 1}, Children: []int{2}},
 			{Stream: stream.ID{Site: 0, Index: 0}}, // clears the duty
@@ -102,7 +102,7 @@ func TestRoutesUpdateRoundTrip(t *testing.T) {
 	}
 	m := roundTrip(t, &Message{Type: MsgRoutesUpdate, Update: u})
 	got := m.Update
-	if got.Epoch != 7 || got.ReplyTo != 41 || got.Site != 0 {
+	if got.Epoch != 7 || len(got.Acks) != 1 || got.Acks[0].ID != 41 || got.Site != 0 {
 		t.Errorf("update = %+v", got)
 	}
 	if len(got.SetForward) != 2 || len(got.SetForward[1].Children) != 0 {
